@@ -8,14 +8,15 @@ BENCH_COUNT ?= 5
 BENCH_TIME  ?= 200ms
 BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
 
-.PHONY: check vet build test race bench bench-all benchcmp models dash gateway
+.PHONY: check vet build test test-purego race bench bench-all benchcmp models dash gateway
 
 # check runs everything CI should gate on: vet, a full build, the full
 # test suite (tier-1), and race-detector runs for the concurrency-heavy
 # packages (the serving path, the scheduler, the multi-backend router,
 # the load drivers, their metrics, and the engine's parallel GEMM /
-# shared-plan paths).
-check: vet build test race
+# shared-plan paths). test-purego reruns the kernel packages with the
+# portable Go kernels in place of the amd64 assembly.
+check: vet build test test-purego race
 
 # vet is static analysis plus a formatting gate: gofmt -l prints the
 # files that need reformatting, so any output fails the target.
@@ -29,6 +30,9 @@ build:
 
 test:
 	$(GO) test ./...
+
+test-purego:
+	$(GO) test -tags purego ./internal/tensor/... ./internal/nn/...
 
 race:
 	$(GO) test -race ./internal/tensor/... ./internal/nn/... ./internal/models/... ./internal/modelstore/... ./internal/service/... ./internal/sched/... ./internal/metrics/... ./internal/router/... ./internal/workload/... ./internal/trace/... ./internal/admin/... ./internal/controlplane/... ./internal/timeseries/... ./internal/events/... ./internal/alerts/... ./internal/gateway/... ./internal/pipeline/...

@@ -8,8 +8,10 @@ import (
 
 // FC is a fully-connected (Caffe "InnerProduct") layer. It flattens any
 // per-sample input shape to a vector. At batch 1 the forward pass is a
-// GEMV — which on a GPU is memory-bound on the weight matrix, the very
-// effect the paper's batching optimisation (Section 5.1) exploits.
+// GEMV, memory-bound on the weight matrix — the very effect the paper's
+// batching optimisation (Section 5.1) exploits. The float32 forward
+// runs tensor.GemvBatch, which reads each weight row once per four
+// samples and stays bit-identical to one Gemv per sample.
 type FC struct {
 	name    string
 	In, Out int
@@ -47,8 +49,8 @@ func (f *FC) OutShape(in []int) ([]int, error) {
 	return []int{f.Out}, nil
 }
 
-// Forward implements Layer. Computes out[b] = W·in[b] + bias as one GEMM
-// over the whole batch: out [B,Out] = in [B,In] × W^T [In,Out].
+// Forward implements Layer. Computes out[b] = W·in[b] + bias for every
+// sample b of the batch.
 func (f *FC) Forward(ctx *Ctx, in, out *tensor.Tensor) {
 	f.forward(ctx, in, out, false)
 }
@@ -61,29 +63,14 @@ func (f *FC) forwardReLU(ctx *Ctx, in, out *tensor.Tensor) {
 
 func (f *FC) forward(ctx *Ctx, in, out *tensor.Tensor, fuseReLU bool) {
 	batch := in.Dim(0)
-	w := f.Weight.W.Data()
-	// out[b,o] = sum_i in[b,i] * w[o,i]; loop as GEMM with B transposed.
-	// Intra-op workers own disjoint output rows (samples at batch > 1,
-	// weight rows at batch 1), so the per-element accumulation order —
-	// and hence the result — matches the serial path bit for bit.
-	inD, outD := in.Data(), out.Data()
-	switch workers := ctx.workers(); {
-	case workers <= 1:
-		// Serial fast path: no closure, no goroutines, zero allocations.
-		for b := 0; b < batch; b++ {
-			tensor.Gemv(f.Out, f.In, 1, w, inD[b*f.In:(b+1)*f.In], 0, outD[b*f.Out:(b+1)*f.Out])
-		}
-	case batch == 1:
-		tensor.ParallelRows(workers, f.Out, func(lo, hi int) {
-			tensor.Gemv(hi-lo, f.In, 1, w[lo*f.In:hi*f.In], inD[:f.In], 0, outD[lo:hi])
-		})
-	default:
-		tensor.ParallelRows(workers, batch, func(lo, hi int) {
-			for b := lo; b < hi; b++ {
-				tensor.Gemv(f.Out, f.In, 1, w, inD[b*f.In:(b+1)*f.In], 0, outD[b*f.Out:(b+1)*f.Out])
-			}
-		})
-	}
+	// out[b,o] = Σ_i in[b,i]·w[o,i]: the multi-instance GEMV reads each
+	// weight row once per four samples, bit-identical to one Gemv per
+	// sample. Intra-op workers own disjoint weight-row blocks, each with
+	// its own pack panel from the plan's scratch (sized at Compile).
+	workers := ctx.workers()
+	outD := out.Data()
+	tensor.GemvBatchParallel(workers, f.Out, f.In, batch, f.Weight.W.Data(), in.Data(), outD,
+		ctx.scratch(workers*tensor.GemvBatchPanelLen(f.In)))
 	if fuseReLU {
 		tensor.AddBiasReLU(batch, f.Out, outD, f.Bias.W.Data())
 	} else {

@@ -173,8 +173,9 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 		p.views[b-1] = v
 	}
 
-	// Size the shared im2col/patch scratch up front so no layer grows it
-	// at run time. Custom layers outside the zoo still grow it lazily.
+	// Size the shared scratch (im2col columns, Local patches, FC pack
+	// panels) up front so no layer grows it at run time. Custom layers
+	// outside the zoo still grow it lazily.
 	scratch := 0
 	for i, l := range n.layers {
 		switch t := l.(type) {
@@ -186,6 +187,10 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 			}
 		case *Local:
 			if need := t.InC * t.Kernel * t.Kernel; need > scratch {
+				scratch = need
+			}
+		case *FC:
+			if need := p.ctx.workers() * tensor.GemvBatchPanelLen(t.In); need > scratch {
 				scratch = need
 			}
 		}

@@ -115,14 +115,41 @@ func TestPlanActivationMemoryShrinks(t *testing.T) {
 	}
 }
 
+// sennaNet mirrors the SENNA POS tagger (models.buildSenna): a 5-word
+// window of 60-d features, a 500-unit HardTanh layer and a 45-tag
+// classifier. The models package cannot be imported from here.
+func sennaNet(seed uint64) *Net {
+	rng := tensor.NewRNG(seed)
+	n := NewNet("senna", KindDNN, 300)
+	n.Add(NewFC("l1", rng, 300, 500)).
+		Add(NewHardTanh("hardtanh")).
+		Add(NewFC("l2", rng, 500, 45)).
+		Add(NewSoftmax("prob"))
+	return n
+}
+
 func TestPlanZeroAllocSteadyState(t *testing.T) {
-	for _, build := range []func(uint64) *Net{smallCNN, zooNet} {
-		n := build(6)
-		plan := n.Compile(4)
-		in := randInput(n, 4, 1)
-		plan.Forward(in) // warm up (nothing should grow, but be fair)
-		if allocs := testing.AllocsPerRun(20, func() { plan.Forward(in) }); allocs != 0 {
-			t.Fatalf("%s: %.1f allocs per forward on the serial plan path, want 0", n.Name(), allocs)
+	cases := []struct {
+		build    func(uint64) *Net
+		maxBatch int
+		batches  []int
+	}{
+		{smallCNN, 4, []int{4}},
+		{zooNet, 4, []int{4}},
+		// The NLP services' plan capacity (64 queries × 28 words),
+		// run at one and two sentences: full and partial 4-instance
+		// FC tiles, and leftover rows in l2.
+		{sennaNet, 1792, []int{28, 30, 56}},
+	}
+	for _, c := range cases {
+		n := c.build(6)
+		plan := n.Compile(c.maxBatch)
+		for _, batch := range c.batches {
+			in := randInput(n, batch, 1)
+			plan.Forward(in) // warm up (nothing should grow, but be fair)
+			if allocs := testing.AllocsPerRun(20, func() { plan.Forward(in) }); allocs != 0 {
+				t.Fatalf("%s batch=%d: %.1f allocs per forward on the serial plan path, want 0", n.Name(), batch, allocs)
+			}
 		}
 	}
 }

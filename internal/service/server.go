@@ -765,12 +765,16 @@ func (a *app) runBatch(plan *nn.Plan, batch []*request) {
 		a.stages.RecordEx(metrics.StageForward, forward, r.traceID)
 		respond := time.Since(forwardDone)
 		a.stages.RecordEx(metrics.StageRespond, respond, r.traceID)
-		a.traceSpans(r,
-			trace.Span{Name: "queue_wait", Start: r.enqueued, Dur: r.dequeued.Sub(r.enqueued)},
-			trace.Span{Name: "batch_assembly", Start: r.dequeued, Dur: r.flushed.Sub(r.dequeued),
-				Note: fmt.Sprintf("batch=%d size=%d instances=%d", batchID, len(batch), total)},
-			trace.Span{Name: "forward", Start: forwardStart, Dur: forward},
-			trace.Span{Name: "respond", Start: forwardDone, Dur: respond})
+		// Checked here, not only in traceSpans: the batch note's Sprintf
+		// would otherwise run (and allocate) for every untraced request.
+		if r.traceID != "" {
+			a.traceSpans(r,
+				trace.Span{Name: "queue_wait", Start: r.enqueued, Dur: r.dequeued.Sub(r.enqueued)},
+				trace.Span{Name: "batch_assembly", Start: r.dequeued, Dur: r.flushed.Sub(r.dequeued),
+					Note: fmt.Sprintf("batch=%d size=%d instances=%d", batchID, len(batch), total)},
+				trace.Span{Name: "forward", Start: forwardStart, Dur: forward},
+				trace.Span{Name: "respond", Start: forwardDone, Dur: respond})
+		}
 	}
 }
 

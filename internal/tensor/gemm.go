@@ -142,7 +142,9 @@ func GemmNaive(m, n, k int, alpha float32, a, b []float32, beta float32, c []flo
 	}
 }
 
-// Gemv computes y = alpha*A*x + beta*y where A is m×n row-major.
+// Gemv computes y = alpha*A*x + beta*y where A is m×n row-major. As in
+// BLAS, beta == 0 overwrites y without reading it, so stale Inf or NaN
+// in y cannot leak into the result.
 func Gemv(m, n int, alpha float32, a, x []float32, beta float32, y []float32) {
 	if len(a) < m*n || len(x) < n || len(y) < m {
 		panic(fmt.Sprintf("tensor: gemv buffer too small for m=%d n=%d", m, n))
@@ -157,7 +159,11 @@ func Gemv(m, n int, alpha float32, a, x []float32, beta float32, y []float32) {
 		for ; j < n; j++ {
 			sum += row[j] * x[j]
 		}
-		y[i] = alpha*sum + beta*y[i]
+		if beta == 0 {
+			y[i] = alpha * sum
+		} else {
+			y[i] = alpha*sum + beta*y[i]
+		}
 	}
 }
 
