@@ -2,11 +2,11 @@ GO ?= go
 
 # Benchmark knobs: BENCH_COUNT repeated runs (benchstat wants ≥ 5
 # samples per benchmark to judge significance), BENCH_TIME per
-# measurement, BENCH_PKGS the engine-path packages that carry the
-# forward-pass benchmarks.
+# measurement, BENCH_PKGS the packages that carry the forward-pass
+# benchmarks plus the serving path's query round trip.
 BENCH_COUNT ?= 5
 BENCH_TIME  ?= 200ms
-BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/...
+BENCH_PKGS  ?= ./internal/tensor/... ./internal/nn/... ./internal/models/... ./internal/service/
 
 .PHONY: check vet build test test-purego race bench bench-all benchcmp models dash gateway
 
@@ -71,8 +71,9 @@ models:
 	$(GO) run ./cmd/djinn-service -export-models $(MODELS_DIR) -apps all
 	$(GO) run ./cmd/djinn-service -verify-models $(MODELS_DIR)
 
-# bench emits benchstat-friendly output for the engine hot path: pipe
-# two runs into `benchstat old.txt new.txt` to compare. Example:
+# bench emits benchstat-friendly output for the engine and serving hot
+# paths: pipe two runs into `benchstat old.txt new.txt` to compare.
+# Example:
 #   make bench > new.txt
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -count $(BENCH_COUNT) -benchtime $(BENCH_TIME) $(BENCH_PKGS)

@@ -377,8 +377,6 @@ func writeSchedMetrics(w io.Writer, opts Options) {
 	}{
 		{"djinn_sched_batch_size", "Current adaptive batch size in instances.",
 			func(i sched.Info) float64 { return float64(i.Batch) }},
-		{"djinn_sched_window_seconds", "Current adaptive flush window.",
-			func(i sched.Info) float64 { return i.Window.Seconds() }},
 		{"djinn_sched_slo_seconds", "Declared p99 latency SLO.",
 			func(i sched.Info) float64 { return i.SLO.Seconds() }},
 		{"djinn_sched_admission_rate", "Fraction of admission decisions that admitted (lifetime).",

@@ -101,7 +101,6 @@ func ControlPlaneRun(replicas int, window time.Duration, rate float64) (ControlP
 		}
 		ctl.Join(controlplane.NewServerMember(id, srv, nets, service.AppConfig{
 			BatchInstances: 8,
-			BatchWindow:    2 * time.Millisecond,
 			Workers:        2,
 			MaxPending:     256,
 			SLO:            40 * time.Millisecond,

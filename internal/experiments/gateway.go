@@ -28,7 +28,7 @@ import (
 // uncached rate, and (b) the server-side ASR→POS→NER pipeline beating
 // three sequential client round-trips — the POS and NER stages share
 // the transcript server-side and run concurrently, so the composite
-// pays one HTTP exchange and two batch windows instead of three each.
+// pays one HTTP exchange instead of three and overlaps POS with NER.
 
 // GatewayOptions sizes the experiment; RenderGateway uses the
 // defaults, the acceptance test shrinks them.
@@ -56,9 +56,12 @@ type GatewayResult struct {
 	PipeP50 time.Duration // one /v1/pipeline request
 	PipeP95 time.Duration
 	// MedianDelta is the median of per-iteration (sequential −
-	// pipeline) gaps. The same utterance runs through both arms each
-	// iteration, so pairing cancels the ASR forward's run-to-run
-	// variance, which on a loaded host can exceed the structural win.
+	// pipeline) gaps with each arm's ASR forward pass, read from its
+	// trace, taken out. Each arm runs its own ASR pass, whose
+	// call-to-call spread on a loaded host (several ms) exceeds the
+	// structural win (one HTTP exchange, POS∥NER), so the raw
+	// end-to-end gap cannot resolve the win; SeqP50/PipeP50 keep the
+	// end-to-end view.
 	MedianDelta time.Duration
 	StageSpans  int    // "stage:" spans in the merged trace (want 3)
 	Merged      string // one merged cross-tier trace, formatted
@@ -205,6 +208,7 @@ func RunGateway(opts GatewayOptions) (*GatewayResult, error) {
 	// per iteration so no response cache is involved in either arm.
 	seqLat := make([]time.Duration, 0, opts.Iterations)
 	pipeLat := make([]time.Duration, 0, opts.Iterations)
+	deltas := make([]time.Duration, 0, opts.Iterations)
 	audioRNG := tensor.NewRNG(23)
 	stages := []map[string]any{
 		{"name": "asr", "app": "asr"},
@@ -221,6 +225,8 @@ func RunGateway(opts GatewayOptions) (*GatewayResult, error) {
 		if err != nil {
 			return nil, fmt.Errorf("sequential asr: %w", err)
 		}
+		var seqTraceID string
+		json.Unmarshal(m["trace_id"], &seqTraceID)
 		var val struct {
 			Text string `json:"text"`
 		}
@@ -248,14 +254,11 @@ func RunGateway(opts GatewayOptions) (*GatewayResult, error) {
 		if !warm {
 			seqLat = append(seqLat, seq)
 			pipeLat = append(pipeLat, pipe)
+			deltas = append(deltas, (seq-fleet.asrForward(seqTraceID))-(pipe-fleet.asrForward(lastTraceID)))
 		}
 	}
 	res.SeqP50, res.SeqP95 = percentiles(seqLat)
 	res.PipeP50, res.PipeP95 = percentiles(pipeLat)
-	deltas := make([]time.Duration, len(seqLat))
-	for i := range seqLat {
-		deltas[i] = seqLat[i] - pipeLat[i]
-	}
 	res.MedianDelta, _ = percentiles(deltas)
 
 	if merged, ok := trace.Merge(lastTraceID, fleet.stores...); ok {
@@ -269,6 +272,20 @@ func RunGateway(opts GatewayOptions) (*GatewayResult, error) {
 		}
 	}
 	return res, nil
+}
+
+// asrForward is the longest forward pass in one query's merged trace:
+// the ASR pass, which dwarfs the POS and NER ones.
+func (f *gatewayFleet) asrForward(id string) time.Duration {
+	var d time.Duration
+	if merged, ok := trace.Merge(id, f.stores...); ok {
+		for _, sp := range merged.Spans {
+			if strings.HasSuffix(sp.Name, "forward") && sp.Dur > d {
+				d = sp.Dur
+			}
+		}
+	}
+	return d
 }
 
 func percentiles(lats []time.Duration) (p50, p95 time.Duration) {
@@ -322,8 +339,8 @@ func RenderGateway() string {
 	t2.add("3 round-trips", res.SeqP50.Round(time.Millisecond).String(), res.SeqP95.Round(time.Millisecond).String())
 	t2.add("/v1/pipeline", res.PipeP50.Round(time.Millisecond).String(), res.PipeP95.Round(time.Millisecond).String())
 	b.WriteString(t2.String())
-	fmt.Fprintf(&b, "\npipeline wins by %v median per-utterance (one HTTP exchange, POS∥NER off the shared transcript)\n",
-		res.MedianDelta.Round(time.Millisecond))
+	fmt.Fprintf(&b, "\npipeline wins by %v median per-utterance outside the ASR forward pass (one HTTP exchange, POS∥NER off the shared transcript)\n",
+		res.MedianDelta.Round(10*time.Microsecond))
 	fmt.Fprintf(&b, "\nmerged trace (%d stage spans across gateway/router/replica tiers):\n%s", res.StageSpans, res.Merged)
 	return b.String()
 }

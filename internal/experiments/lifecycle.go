@@ -24,7 +24,6 @@ func RenderLifecycle() string {
 	spec := workload.Get(models.DIG)
 	if err := srv.Register("dig", models.BuildCached(models.DIG), service.AppConfig{
 		BatchInstances: spec.BatchSize * spec.Instances,
-		BatchWindow:    2 * time.Millisecond,
 		Workers:        2,
 	}); err != nil {
 		return out + err.Error() + "\n"

@@ -85,7 +85,6 @@ func ModelStoreRun(nModels int, budgetFrac float64, workers int, dur time.Durati
 	srv.SetLogger(func(string, ...any) {})
 	srv.AttachModelStore(reg, service.AppConfig{
 		BatchInstances: 4,
-		BatchWindow:    200 * time.Microsecond,
 		Workers:        1,
 	})
 	for _, name := range names {

@@ -84,10 +84,12 @@ func (s *stall) Forward(ctx *nn.Ctx, in, out *tensor.Tensor) {
 
 // obsNet bounds a replica at a known rate via the stall stage, so
 // "kill one of two assignees" translates into real admission sheds on
-// the survivor instead of being absorbed invisibly. With the batch
-// pinned at 8 instances (MinBatchInstances below) every forward pass
-// costs the same wall-clock slice, which keeps the capacity — and
-// with it the whole overload arithmetic — stable across hosts.
+// the survivor instead of being absorbed invisibly. With the batch cap
+// pinned at 8 instances (MinBatchInstances below) every full forward
+// pass costs the same wall-clock slice, and the adaptive controller
+// cannot shrink the cap to batches whose per-batch sleep overshoot
+// eats capacity on a loaded host; that keeps the capacity — and with
+// it the whole overload arithmetic — stable across hosts.
 func obsNet(seed uint64) *nn.Net {
 	rng := tensor.NewRNG(seed)
 	n := nn.NewNet("obs", nn.KindDNN, 64)
@@ -100,16 +102,15 @@ func obsNet(seed uint64) *nn.Net {
 func obsAppCfg() service.AppConfig {
 	return service.AppConfig{
 		BatchInstances:    obsBatch,
-		MinBatchInstances: obsBatch, // pin the batch: per-batch cost is fixed wall-clock
-		BatchWindow:       2 * time.Millisecond,
+		MinBatchInstances: obsBatch, // pin the cap: per-batch cost is fixed wall-clock
 		Workers:           1,
 		MaxPending:        512,
 		SLO:               30 * time.Millisecond,
 	}
 }
 
-// obsPerInst and obsBatch set the stall net's operating point: every
-// forward pass carries exactly obsBatch instances (the batch is
+// obsPerInst and obsBatch set the stall net's operating point: under
+// load every forward pass carries obsBatch instances (the cap is
 // pinned) and sleeps obsBatch×obsPerInst.
 const (
 	obsPerInst = 400 * time.Microsecond

@@ -45,7 +45,6 @@ func TracingOverhead(replicas, workers int, per time.Duration) OverheadResult {
 			srv.SetTraceStore(trace.NewStore(fmt.Sprintf("replica-%d", i), trace.DefaultStoreSize))
 			if err := srv.Register("bench", benchNet(1), service.AppConfig{
 				BatchInstances: 2,
-				BatchWindow:    2 * time.Millisecond,
 				Workers:        1,
 			}); err != nil {
 				panic(err)

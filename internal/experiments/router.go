@@ -84,7 +84,6 @@ func RouterSweep(replicaCounts []int, policies []router.Policy, workers int, per
 				srv.SetLogger(func(string, ...any) {})
 				if err := srv.Register("bench", benchNet(1), service.AppConfig{
 					BatchInstances: 2,
-					BatchWindow:    2 * time.Millisecond,
 					Workers:        1,
 				}); err != nil {
 					panic(err)

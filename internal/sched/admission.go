@@ -72,8 +72,8 @@ const ewmaAlpha = 0.125
 // Controller runs one application's scheduling feedback loop. The
 // serving path calls Admit before enqueue, Dropped for admitted
 // queries that die before execution, ObserveBatch after each forward
-// pass, and Complete per answered query; BatchSize and Window replace
-// the app's static aggregation parameters.
+// pass, and Complete per answered query; BatchSize replaces the app's
+// static batch cap.
 type Controller struct {
 	cfg Config
 
@@ -113,30 +113,15 @@ func (c *Controller) BatchSize() int {
 	return c.aimd.Batch()
 }
 
-// Window returns the current flush window.
-func (c *Controller) Window() time.Duration {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.aimd.Window()
-}
-
 // estimate computes the delay a query of n instances would see if
 // admitted now: everything already admitted plus itself must drain
-// through the worker pool at the observed per-instance service time,
-// and the query may wait up to one flush window for its batch to
-// assemble. The two overlap — workers chew the backlog while the new
-// query's batch fills — so the estimate is the slower of the two, not
-// their sum (summing parks the estimate at the admission threshold at
-// perfectly healthy utilization). perInstNS and window are passed in
-// by the caller holding the lock (Admit) or reading a snapshot
-// (Snapshot).
-func (c *Controller) estimate(perInstNS float64, window time.Duration, n int) time.Duration {
+// through the worker pool at the observed per-instance service time.
+// Batches never wait to fill, so queued work is the whole delay.
+// perInstNS is passed in by the caller holding the lock (Admit) or
+// reading a snapshot (Snapshot).
+func (c *Controller) estimate(perInstNS float64, n int) time.Duration {
 	queued := c.queued.Load()
-	work := time.Duration((float64(queued) + float64(n)) * perInstNS / float64(c.cfg.Workers))
-	if work > window {
-		return work
-	}
-	return window
+	return time.Duration((float64(queued) + float64(n)) * perInstNS / float64(c.cfg.Workers))
 }
 
 // Admit decides whether a query of n instances can still meet budget
@@ -147,9 +132,9 @@ func (c *Controller) estimate(perInstNS float64, window time.Duration, n int) ti
 // admits everything.
 func (c *Controller) Admit(budget time.Duration, n int) (time.Duration, bool) {
 	c.mu.Lock()
-	perInst, window := c.perInstNS, c.aimd.Window()
+	perInst := c.perInstNS
 	c.mu.Unlock()
-	est := c.estimate(perInst, window, n)
+	est := c.estimate(perInst, n)
 	if perInst > 0 && float64(est) > c.cfg.Safety*float64(budget) {
 		c.rejected.Add(1)
 		c.pressure.Add(1)
@@ -228,7 +213,6 @@ type Info struct {
 	SLO      time.Duration
 	Priority Priority
 	Batch    int           // current effective batch size (instances)
-	Window   time.Duration // current flush window
 	Admitted int64         // queries past admission since start
 	Rejected int64         // queries refused at admission since start
 	Queued   int64         // instances admitted but not yet executed
@@ -250,18 +234,17 @@ func (i Info) AdmissionRate() float64 {
 func (c *Controller) Snapshot() Info {
 	c.mu.Lock()
 	perInst := c.perInstNS
-	batch, window := c.aimd.Batch(), c.aimd.Window()
+	batch := c.aimd.Batch()
 	p99 := c.recentP99Locked()
 	c.mu.Unlock()
 	return Info{
 		SLO:      c.cfg.SLO,
 		Priority: c.cfg.Priority,
 		Batch:    batch,
-		Window:   window,
 		Admitted: c.admitted.Load(),
 		Rejected: c.rejected.Load(),
 		Queued:   c.queued.Load(),
-		EstWait:  c.estimate(perInst, window, 1),
+		EstWait:  c.estimate(perInst, 1),
 		P99:      p99,
 	}
 }
@@ -270,8 +253,8 @@ func (c *Controller) Snapshot() Info {
 // key=value fields, one line. ParseInfo inverts it.
 func (i Info) String() string {
 	return fmt.Sprintf(
-		"slo=%s priority=%s batch=%d window=%s admitted=%d rejected=%d queued=%d est_wait=%s p99=%s admission_rate=%.3f",
-		i.SLO, i.Priority, i.Batch, i.Window,
+		"slo=%s priority=%s batch=%d admitted=%d rejected=%d queued=%d est_wait=%s p99=%s admission_rate=%.3f",
+		i.SLO, i.Priority, i.Batch,
 		i.Admitted, i.Rejected, i.Queued, i.EstWait, i.P99, i.AdmissionRate())
 }
 
@@ -294,8 +277,6 @@ func ParseInfo(s string) (Info, error) {
 			info.Priority, err = ParsePriority(v)
 		case "batch":
 			info.Batch, err = strconv.Atoi(v)
-		case "window":
-			info.Window, err = time.ParseDuration(v)
 		case "admitted":
 			info.Admitted, err = strconv.ParseInt(v, 10, 64)
 		case "rejected":
@@ -311,7 +292,7 @@ func ParseInfo(s string) (Info, error) {
 			return Info{}, fmt.Errorf("sched: bad %s value %q: %v", k, v, err)
 		}
 	}
-	if info.SLO < 0 || info.Batch < 0 || info.Window < 0 || info.EstWait < 0 || info.P99 < 0 {
+	if info.SLO < 0 || info.Batch < 0 || info.EstWait < 0 || info.P99 < 0 {
 		return Info{}, fmt.Errorf("sched: negative field in %q", s)
 	}
 	return info, nil

@@ -22,14 +22,6 @@ type AIMDConfig struct {
 	// the post-overload ceiling earn one probe step past it. Zero
 	// means 8.
 	ProbeAfter int
-	// MinWindow and MaxWindow bound the flush window derived from the
-	// batch size. Zero means 100µs and SLO/2: a window too small to
-	// assemble a batch at the offered load forfeits launch amortisation
-	// entirely (the effective batch collapses to whatever trickles in),
-	// so the ceiling must leave room to gather — the p99 feedback
-	// shrinks the batch, and with it the window, whenever that wait
-	// actually endangers the SLO.
-	MinWindow, MaxWindow time.Duration
 }
 
 func (c AIMDConfig) withDefaults() AIMDConfig {
@@ -47,15 +39,6 @@ func (c AIMDConfig) withDefaults() AIMDConfig {
 	}
 	if c.ProbeAfter <= 0 {
 		c.ProbeAfter = 8
-	}
-	if c.MinWindow <= 0 {
-		c.MinWindow = 100 * time.Microsecond
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = c.SLO / 2
-		if c.MaxWindow < c.MinWindow {
-			c.MaxWindow = c.MinWindow
-		}
 	}
 	return c
 }
@@ -87,18 +70,6 @@ func NewAIMD(cfg AIMDConfig) *AIMD {
 
 // Batch returns the current effective batch size in instances.
 func (a *AIMD) Batch() int { return a.size }
-
-// Window returns the flush window matching the current batch size:
-// linear between MinWindow and MaxWindow as the batch grows from Min
-// to Max. A small target batch flushes almost immediately (latency
-// recovery); a large one may wait longer to fill (throughput).
-func (a *AIMD) Window() time.Duration {
-	if a.cfg.Max == a.cfg.Min {
-		return a.cfg.MaxWindow
-	}
-	frac := float64(a.size-a.cfg.Min) / float64(a.cfg.Max-a.cfg.Min)
-	return a.cfg.MinWindow + time.Duration(frac*float64(a.cfg.MaxWindow-a.cfg.MinWindow))
-}
 
 // Observe feeds one p99 measurement and advances the controller.
 // pressured reports that admission rejected queries since the last

@@ -148,33 +148,6 @@ func TestAIMDBounds(t *testing.T) {
 		if b := a.Batch(); b < 2 || b > 8 {
 			t.Fatalf("batch %d left [2,8] after observation %d", b, i)
 		}
-		if w := a.Window(); w < 0 {
-			t.Fatalf("negative window %v", w)
-		}
-	}
-}
-
-// TestAIMDWindowTracksBatch: the flush window grows monotonically with
-// the batch size between its bounds.
-func TestAIMDWindowTracksBatch(t *testing.T) {
-	a := NewAIMD(AIMDConfig{Min: 1, Max: 16, SLO: ms(40), MinWindow: ms(0.1), MaxWindow: ms(4)})
-	if w := a.Window(); w != ms(0.1) {
-		t.Fatalf("window at Min = %v, want 100µs", w)
-	}
-	prev := a.Window()
-	for i := 0; i < 15; i++ {
-		a.Observe(ms(5), false)
-		if w := a.Window(); w < prev {
-			t.Fatalf("window shrank %v→%v while batch grew", prev, w)
-		} else {
-			prev = w
-		}
-	}
-	if a.Batch() != 16 {
-		t.Fatalf("batch = %d, want 16", a.Batch())
-	}
-	if w := a.Window(); w != ms(4) {
-		t.Fatalf("window at Max = %v, want 4ms", w)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package sched is the SLO-aware decision tier between the DjiNN
 // protocol front-end and the NN runners. The paper picks one fixed
-// batch size and flush window per application at registration time;
-// this package replaces those constants with a feedback loop:
+// batch size per application at registration time; this package
+// replaces that constant with a feedback loop:
 //
 //   - Each application declares an SLO — a target p99 latency — and a
 //     tenant priority class (Config).
@@ -11,8 +11,8 @@
 //     meet their budget *before* they occupy queue capacity, instead
 //     of letting them rot until batch assembly notices the corpse.
 //   - An adaptive batch controller (AIMD) resizes the effective batch
-//     size and flush window within [1, MaxBatch] to hold observed p99
-//     at the SLO while maximizing instances per second.
+//     size within [1, MaxBatch] to hold observed p99 at the SLO while
+//     maximizing instances per second.
 //   - A weighted priority gate (Gate) orders pending batch executions
 //     across applications so latency-critical tenants preempt
 //     throughput tenants when execution slots are contended.

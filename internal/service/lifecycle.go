@@ -101,11 +101,18 @@ type result struct {
 // and must not touch the request further. This is the invariant that
 // makes dispatch hang-proof.
 func (r *request) respond(res result) bool {
-	if !r.responded.CompareAndSwap(false, true) {
+	if !r.claim() {
 		return false
 	}
 	r.resp <- res
 	return true
+}
+
+// claim wins the request's single response slot without delivering
+// anything yet; the winner must send exactly one result on resp. The
+// split lets a worker count a served query between the two steps.
+func (r *request) claim() bool {
+	return r.responded.CompareAndSwap(false, true)
 }
 
 // expired reports whether the request's context has been cancelled.

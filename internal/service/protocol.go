@@ -82,17 +82,17 @@ func readUint32(r io.Reader) (uint32, error) {
 	return binary.LittleEndian.Uint32(b[:]), nil
 }
 
+// wireChunk is the most floats a payload read or write converts per
+// step; a message's scratch buffer is never larger.
+const wireChunk = 4096
+
 func writeFloats(w io.Writer, data []float32) error {
 	if err := writeUint32(w, uint32(len(data))); err != nil {
 		return err
 	}
-	buf := make([]byte, 4*4096)
-	for off := 0; off < len(data); off += 4096 {
-		end := off + 4096
-		if end > len(data) {
-			end = len(data)
-		}
-		chunk := data[off:end]
+	buf := make([]byte, 4*min(len(data), wireChunk))
+	for off := 0; off < len(data); off += wireChunk {
+		chunk := data[off:min(off+wireChunk, len(data))]
 		for i, v := range chunk {
 			binary.LittleEndian.PutUint32(buf[i*4:], math.Float32bits(v))
 		}
@@ -103,6 +103,11 @@ func writeFloats(w io.Writer, data []float32) error {
 	return nil
 }
 
+// readFloats reads a length-prefixed float payload. Memory follows the
+// bytes that actually arrive, not the length the header claims: the
+// payload grows a chunk at a time, to at most twice what has arrived
+// plus one chunk, so a peer that claims MaxPayloadFloats and stalls
+// pins kilobytes, not 256 MB.
 func readFloats(r io.Reader) ([]float32, error) {
 	n, err := readUint32(r)
 	if err != nil {
@@ -111,19 +116,23 @@ func readFloats(r io.Reader) ([]float32, error) {
 	if n > MaxPayloadFloats {
 		return nil, fmt.Errorf("service: payload of %d floats exceeds limit", n)
 	}
-	data := make([]float32, n)
-	buf := make([]byte, 4*4096)
-	for off := 0; off < int(n); off += 4096 {
-		end := off + 4096
-		if end > int(n) {
-			end = int(n)
-		}
-		chunk := buf[:(end-off)*4]
+	total := int(n)
+	buf := make([]byte, 4*min(total, wireChunk))
+	data := make([]float32, 0, min(total, wireChunk))
+	for off := 0; off < total; off = len(data) {
+		k := min(total-off, wireChunk)
+		chunk := buf[:4*k]
 		if _, err := io.ReadFull(r, chunk); err != nil {
 			return nil, err
 		}
-		for i := off; i < end; i++ {
-			data[i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[(i-off)*4:]))
+		if off+k > cap(data) {
+			grown := make([]float32, off, min(total, 2*off+wireChunk))
+			copy(grown, data)
+			data = grown
+		}
+		data = data[:off+k]
+		for i := range k {
+			data[off+i] = math.Float32frombits(binary.LittleEndian.Uint32(chunk[4*i:]))
 		}
 	}
 	return data, nil

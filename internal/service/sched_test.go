@@ -13,44 +13,28 @@ import (
 	"djinn/internal/testutil"
 )
 
-// TestAggregatorIdleNoTimerWakeups: the flush timer is lazy — an app
-// that receives no traffic must perform zero timer wakeups, and an app
-// whose batches all fill on the size threshold must not pay window
-// fires either.
-func TestAggregatorIdleNoTimerWakeups(t *testing.T) {
-	s := inproc(t, AppConfig{BatchInstances: 1, BatchWindow: 100 * time.Microsecond, Workers: 1})
-	a, _ := s.app("tiny")
+// pastDeadline is a context whose deadline has passed but whose timer
+// has not fired yet, the window a loaded host leaves open.
+type pastDeadline struct{ context.Context }
 
-	// Idle: far longer than the window; the timer must never fire.
-	time.Sleep(20 * time.Millisecond)
-	if n := a.timerWakeups.Load(); n != 0 {
-		t.Fatalf("idle app performed %d timer wakeups", n)
-	}
+func (pastDeadline) Deadline() (time.Time, bool) { return time.Now().Add(-time.Millisecond), true }
 
-	// Threshold flushes (batch target 1): still no window fires.
-	inferN(t, s, 8)
-	time.Sleep(5 * time.Millisecond)
-	if n := a.timerWakeups.Load(); n != 0 {
-		t.Fatalf("threshold-flushed batches paid %d timer wakeups", n)
-	}
-}
-
-// TestAggregatorWindowWakeupCounted: a partial batch that waits out
-// the window fires the lazy timer exactly as often as batches flush on
-// timeout — not continuously.
-func TestAggregatorWindowWakeupCounted(t *testing.T) {
-	s := inproc(t, AppConfig{BatchInstances: 64, BatchWindow: time.Millisecond, Workers: 1})
-	a, _ := s.app("tiny")
+// TestAdmissionSpentBudgetIsExpiry: a query that reaches admission
+// with its deadline already past is an expiry, not overload. Overload
+// is retryable, so reporting it would send a dead query on to another
+// replica.
+func TestAdmissionSpentBudgetIsExpiry(t *testing.T) {
+	s := inproc(t, AppConfig{BatchInstances: 1, Workers: 1, SLO: time.Second})
+	// Warm the service-time estimate: a cold controller admits anything.
 	if _, err := s.Infer("tiny", make([]float32, 8)); err != nil {
 		t.Fatal(err)
 	}
-	if n := a.timerWakeups.Load(); n != 1 {
-		t.Fatalf("one window-flushed batch, %d timer wakeups", n)
+	_, err := s.InferCtx(pastDeadline{context.Background()}, "tiny", make([]float32, 8))
+	if !errors.Is(err, ErrDeadlineExceeded) || errors.Is(err, ErrOverloaded) {
+		t.Fatalf("spent budget returned %v, want ErrDeadlineExceeded", err)
 	}
-	// Back to idle: no further fires.
-	time.Sleep(10 * time.Millisecond)
-	if n := a.timerWakeups.Load(); n != 1 {
-		t.Fatalf("idle after flush, wakeups grew to %d", n)
+	if st, _ := s.StatsFor("tiny"); st.Expired != 1 || st.ShedAdmission != 0 {
+		t.Fatalf("stats %+v, want 1 expired and no admission shed", st)
 	}
 }
 
@@ -65,7 +49,7 @@ func TestAdmissionShedsBeforeQueue(t *testing.T) {
 	defer s.Close()
 	const forward = 10 * time.Millisecond
 	if err := s.Register("slow", slowNet(forward), AppConfig{
-		BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1,
+		BatchInstances: 1, Workers: 1,
 		MaxPending: 1024, SLO: 20 * time.Millisecond,
 	}); err != nil {
 		t.Fatal(err)
@@ -150,7 +134,7 @@ func TestAdaptiveBatchGrowsUnderHealthyLoad(t *testing.T) {
 	s.SetLogger(silence)
 	defer s.Close()
 	if err := s.Register("tiny", testNet(1), AppConfig{
-		BatchInstances: 32, BatchWindow: time.Millisecond, Workers: 2,
+		BatchInstances: 32, Workers: 2,
 		SLO: time.Second,
 	}); err != nil {
 		t.Fatal(err)
@@ -181,9 +165,6 @@ func TestAdaptiveBatchGrowsUnderHealthyLoad(t *testing.T) {
 	}
 	if info.Admitted != 400 || info.Rejected != 0 {
 		t.Fatalf("counters: %+v, want 400 admitted / 0 rejected", info)
-	}
-	if info.Window <= 0 {
-		t.Fatalf("flush window %v, want > 0", info.Window)
 	}
 }
 
@@ -248,7 +229,7 @@ func TestAbandonedThenExpiredQueryBalancesAdmission(t *testing.T) {
 	defer s.Close()
 	const forward = 100 * time.Millisecond
 	if err := s.Register("slow", slowNet(forward), AppConfig{
-		BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1,
+		BatchInstances: 1, Workers: 1,
 		SLO: time.Second,
 	}); err != nil {
 		t.Fatal(err)
@@ -315,7 +296,7 @@ func TestSchedStatsDrainClean(t *testing.T) {
 	s := NewServer()
 	s.SetLogger(silence)
 	if err := s.Register("slow", slowNet(5*time.Millisecond), AppConfig{
-		BatchInstances: 1, BatchWindow: time.Millisecond, Workers: 1,
+		BatchInstances: 1, Workers: 1,
 		SLO: time.Second,
 	}); err != nil {
 		t.Fatal(err)

@@ -24,19 +24,20 @@ import (
 // AppConfig controls batching and worker-pool parameters for one
 // registered application.
 type AppConfig struct {
-	// BatchInstances is the number of DNN input instances aggregated
-	// into one forward pass (queries × instances-per-query at the
-	// Table 3 operating point). Zero means 64.
+	// BatchInstances caps the DNN input instances aggregated into one
+	// forward pass (queries × instances-per-query at the Table 3
+	// operating point). A batch never waits to fill: it goes to a
+	// worker as soon as one is idle, carrying whatever is queued up to
+	// this cap, so batches grow only while every worker is busy. Zero
+	// means 64.
 	BatchInstances int
-	// MinBatchInstances floors the adaptive batch controller: under an
-	// SLO the effective batch floats within [MinBatchInstances,
-	// BatchInstances]. Setting it equal to BatchInstances pins the
-	// batch size — useful when the backend's per-batch cost is fixed
-	// and shrinking the batch only sheds capacity. Zero means 1.
+	// MinBatchInstances floors the adaptive controller's batch cap:
+	// under an SLO the cap floats within [MinBatchInstances,
+	// BatchInstances]. Batches still leave as soon as a worker is idle;
+	// the floor only keeps the controller from shrinking the cap below
+	// it, which matters when a backend pays a fixed cost per batch and
+	// a small cap sheds capacity under load. Zero means 1.
 	MinBatchInstances int
-	// BatchWindow is how long the aggregator waits for a batch to fill
-	// before flushing a partial one. Zero means 2ms.
-	BatchWindow time.Duration
 	// Workers is the number of concurrent inference workers (the
 	// paper's concurrent DNN service instances; 4 is the paper's
 	// chosen MPS operating point). Zero means 4.
@@ -54,9 +55,9 @@ type AppConfig struct {
 	// SLO declares a target p99 latency for the app. A non-zero SLO
 	// enables the scheduler: admission control rejects queries that
 	// cannot meet their deadline before they enter the queue, and an
-	// adaptive controller resizes the effective batch size and flush
-	// window within [1, BatchInstances] to hold p99 at the SLO. Zero
-	// keeps the paper's static batching.
+	// adaptive controller resizes the batch target within
+	// [1, BatchInstances] to hold p99 at the SLO. Zero keeps the
+	// static target.
 	SLO time.Duration
 	// Priority is the app's tenant class at the cross-app execution
 	// gate (see Server.SetSchedSlots). Zero is sched.Throughput.
@@ -79,9 +80,6 @@ func (c AppConfig) withDefaults() AppConfig {
 	}
 	if c.MinBatchInstances > c.BatchInstances {
 		c.MinBatchInstances = c.BatchInstances
-	}
-	if c.BatchWindow <= 0 {
-		c.BatchWindow = 2 * time.Millisecond
 	}
 	if c.Workers <= 0 {
 		c.Workers = 4
@@ -146,7 +144,6 @@ type app struct {
 	shedAdmission atomic.Int64
 	shedExpired   atomic.Int64
 	expired       atomic.Int64
-	timerWakeups  atomic.Int64  // aggregator flush-timer fires (lazy timer)
 	plans         chan *nn.Plan // compiled execution-plan pool, one checkout per batch
 
 	// gateMu serialises enqueues against shutdown: dispatch holds the
@@ -375,7 +372,9 @@ func (s *Server) Register(name string, netw *nn.Net, cfg AppConfig) error {
 			name, netw.ParamCount(), float64(netw.WeightBytes())/(1<<20), cfg.Precision, cfg.BatchInstances, cfg.Workers)
 	}
 	s.journalf(events.KindModel, "loaded %s (%.1f MB, %d workers)", name, float64(netw.WeightBytes())/(1<<20), cfg.Workers)
-	batchCh := make(chan []*request, cfg.Workers)
+	// Unbuffered: a batch changes hands only when a worker is waiting
+	// for one, which is what makes the aggregator work-conserving.
+	batchCh := make(chan []*request)
 	a.wg.Add(1)
 	go func() {
 		defer a.wg.Done()
@@ -520,9 +519,9 @@ func (s *Server) StageHistogram(name string, stage metrics.Stage) (metrics.Histo
 	return a.stages.HistogramFor(stage), true
 }
 
-// batchTarget is the instance count that triggers a flush: the
-// adaptive controller's live batch size when scheduling is enabled,
-// the static BatchInstances otherwise.
+// batchTarget caps the instances one batch may carry: the adaptive
+// controller's live batch size when scheduling is enabled, the static
+// BatchInstances otherwise.
 func (a *app) batchTarget() int {
 	if a.ctrl != nil {
 		return a.ctrl.BatchSize()
@@ -530,63 +529,21 @@ func (a *app) batchTarget() int {
 	return a.cfg.BatchInstances
 }
 
-// flushWindow is how long a partial batch may wait to fill.
-func (a *app) flushWindow() time.Duration {
-	if a.ctrl != nil {
-		return a.ctrl.Window()
-	}
-	return a.cfg.BatchWindow
-}
-
-// aggregate collects requests into batches: it flushes when the pending
-// instance count reaches the batch target or when the flush window has
-// elapsed since the first pending request — the cross-request batching
-// that Section 5.1 shows is key to GPU throughput. Queries whose
-// deadline has already expired are failed here, at batch-assembly time,
-// so a dead query never occupies forward-pass capacity.
-//
-// The flush timer is lazy: one timer for the aggregator's lifetime,
-// armed only while a partial batch is pending. An idle app therefore
-// performs no timer wakeups at all (timerWakeups counts the fires).
+// aggregate is the work-conserving batcher behind Section 5.1's
+// cross-request batching: the pending batch goes to a worker the moment
+// one is idle, holding whatever has queued since, up to batchTarget.
+// Batches therefore grow only while every worker is busy, exactly when
+// batching pays, and a lone query never waits for company. Once pending
+// reaches the target the aggregator stops reading reqCh, so backpressure
+// stays in the bounded queue. Queries whose deadline has already expired
+// are failed here, at batch-assembly time, so a dead query never
+// occupies forward-pass capacity.
 func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 	defer close(batchCh)
 	var (
 		pending   []*request
 		instances int
-		armed     bool
 	)
-	timer := time.NewTimer(time.Hour)
-	if !timer.Stop() {
-		<-timer.C
-	}
-	defer timer.Stop()
-	disarm := func() {
-		if !armed {
-			return
-		}
-		armed = false
-		if !timer.Stop() {
-			// The timer fired while we were flushing on the size
-			// threshold; drain the stale tick so the next arm's fire is
-			// the only value ever in the channel.
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-	}
-	flush := func() {
-		if len(pending) == 0 {
-			return
-		}
-		now := time.Now()
-		for _, req := range pending {
-			req.flushed = now
-		}
-		batchCh <- pending
-		pending, instances = nil, 0
-		disarm()
-	}
 	admit := func(req *request) {
 		req.dequeued = time.Now()
 		if req.expired() {
@@ -607,24 +564,30 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 			}
 			return
 		}
-		if len(pending) == 0 {
-			timer.Reset(a.flushWindow())
-			armed = true
-		}
 		pending = append(pending, req)
 		instances += req.instances
-		if instances >= a.batchTarget() {
-			flush()
-		}
 	}
 	for {
+		// A nil channel disables its case: offer the batch only while
+		// it is non-empty, and take new requests only while it is below
+		// the target.
+		var out chan<- []*request
+		in := a.reqCh
+		if len(pending) > 0 {
+			out = batchCh
+			if instances >= a.batchTarget() {
+				in = nil
+			}
+		}
 		select {
 		case <-closing:
 			// Graceful drain: the batch under assembly still runs, but
 			// stragglers waiting in the queue fail immediately. The
 			// enqueue gate is already closed, so this drain sees every
 			// request that will ever be on reqCh.
-			flush()
+			if len(pending) > 0 {
+				batchCh <- pending
+			}
 			for {
 				select {
 				case req := <-a.reqCh:
@@ -640,12 +603,10 @@ func (a *app) aggregate(batchCh chan<- []*request, closing <-chan struct{}) {
 					return
 				}
 			}
-		case req := <-a.reqCh:
+		case out <- pending:
+			pending, instances = nil, 0
+		case req := <-in:
 			admit(req)
-		case <-timer.C:
-			a.timerWakeups.Add(1)
-			armed = false
-			flush()
 		}
 	}
 }
@@ -668,6 +629,10 @@ func (a *app) traceSpans(req *request, spans ...trace.Span) {
 // forward passes.
 func (a *app) work(batchCh <-chan []*request) {
 	for batch := range batchCh {
+		flushed := time.Now()
+		for _, r := range batch {
+			r.flushed = flushed
+		}
 		plan := <-a.plans
 		a.runBatch(plan, batch)
 		a.plans <- plan
@@ -751,7 +716,9 @@ func (a *app) runBatch(plan *nn.Plan, batch []*request) {
 		n := r.instances * a.sampleOut
 		resp := out[off : off+n : off+n]
 		off += n
-		if r.respond(result{out: resp}) {
+		// Count the query before its caller wakes, so anyone who sees
+		// the answer also sees it in StatsFor.
+		if r.claim() {
 			a.queries.Add(1)
 			a.tput.Add(1)
 			e2e := time.Since(r.enqueued)
@@ -759,6 +726,7 @@ func (a *app) runBatch(plan *nn.Plan, batch []*request) {
 			if a.ctrl != nil {
 				a.ctrl.Complete(e2e)
 			}
+			r.resp <- result{out: resp}
 		}
 		a.stages.RecordEx(metrics.StageQueueWait, r.dequeued.Sub(r.enqueued), r.traceID)
 		a.stages.RecordEx(metrics.StageBatchAssembly, r.flushed.Sub(r.dequeued), r.traceID)
@@ -899,8 +867,8 @@ func (s *Server) handle(conn net.Conn) {
 // control answers a control command: "apps" lists registered
 // applications; "stats <app>" reports an application's counters;
 // "latency <app>" reports its per-stage lifecycle breakdown;
-// "sched <app>" reports the live scheduler state (batch size, flush
-// window, admission counters) or "disabled" for a static app;
+// "sched <app>" reports the live scheduler state (batch target,
+// admission counters) or "disabled" for a static app;
 // "precision [app]" reports the kernel precision an app's plan pool was
 // compiled at (all apps when the name is omitted);
 // "trace <id>" renders the spans recorded for one traced query and
@@ -1081,6 +1049,13 @@ func (s *Server) dispatchApp(ctx context.Context, a *app, in []float32) ([]float
 			if rem := time.Until(dl); rem < budget {
 				budget = rem
 			}
+		}
+		if budget <= 0 {
+			// The deadline passed before the context's timer fired.
+			// That is an expiry, not overload: overload is retryable
+			// elsewhere, a spent budget is not.
+			a.expired.Add(1)
+			return nil, fmt.Errorf("%w: %v", ErrDeadlineExceeded, context.DeadlineExceeded)
 		}
 		est, ok := a.ctrl.Admit(budget, req.instances)
 		if !ok {

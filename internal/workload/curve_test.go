@@ -99,7 +99,6 @@ func TestDriveMixed(t *testing.T) {
 	spec := Get(models.DIG)
 	cfg := service.AppConfig{
 		BatchInstances: spec.BatchSize * spec.Instances,
-		BatchWindow:    time.Millisecond,
 	}
 	for _, name := range []string{"dig-a", "dig-b"} {
 		if err := s.Register(name, models.BuildCached(models.DIG), cfg); err != nil {
