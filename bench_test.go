@@ -6,13 +6,11 @@
 package djinn
 
 import (
-	"fmt"
 	"testing"
 	"time"
 
 	"djinn/internal/experiments"
 	"djinn/internal/models"
-	"djinn/internal/nn"
 	"djinn/internal/tensor"
 	"djinn/internal/workload"
 )
@@ -255,51 +253,6 @@ func BenchmarkEndToEndNER(b *testing.B) {
 		if _, err := ner.Recognize(sentence); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// --- Precision-layer benchmarks ---------------------------------------
-
-// BenchmarkGemmPacked runs the cache-blocked panel-packing float32
-// kernel on the AlexNet conv1 GEMM shape (m=96, n=55·55, k=3·11·11),
-// packing B each iteration the way the conv path does. Its ablation
-// partner is internal/tensor's BenchmarkGemmAlexNetConv1 (the blocked
-// reference kernel on the same shape).
-func BenchmarkGemmPacked(b *testing.B) {
-	const m, n, k = 96, 55 * 55, 3 * 11 * 11
-	a := make([]float32, m*k)
-	bb := make([]float32, k*n)
-	bp := make([]float32, tensor.PackedBLen(k, n))
-	c := make([]float32, m*n)
-	rng := tensor.NewRNG(11)
-	rng.FillUniform(a, -1, 1)
-	rng.FillUniform(bb, -1, 1)
-	b.SetBytes(int64(2 * m * n * k * 4))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tensor.PackB(k, n, bb, bp)
-		tensor.GemmPacked(m, n, k, a, bp, c, tensor.EpNone, nil)
-	}
-}
-
-// BenchmarkForwardAlexNetInt8 measures the int8 quantized plan on
-// AlexNet at the serving batch sizes; compare against
-// BenchmarkForwardAlexNet in internal/models (the float32 plan).
-// Steady-state allocs/op should be 0.
-func BenchmarkForwardAlexNetInt8(b *testing.B) {
-	net := models.BuildCached(models.IMC)
-	for _, batch := range []int{8, 32} {
-		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
-			plan := net.CompileOpts(batch, nn.CompileOpts{Precision: nn.Int8})
-			in := tensor.New(append([]int{batch}, net.InShape()...)...)
-			tensor.NewRNG(1).FillNorm(in.Data(), 0, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				plan.Forward(in)
-			}
-		})
 	}
 }
 

@@ -9,8 +9,9 @@
 //	djinn-bench -list           # list experiment ids
 //
 // The quant experiment additionally honours -quant-json: a path the
-// machine-readable sweep (the same cells the table renders) is written
-// to, e.g. `djinn-bench -exp quant -quant-json BENCH_quant.json`.
+// machine-readable sweep (the host plus the same cells the table
+// renders) is written to, e.g.
+// `djinn-bench -exp quant -quant-json BENCH_quant.json`.
 package main
 
 import (
@@ -71,7 +72,8 @@ func main() {
 	if *quantJSON != "" {
 		runners["quant"] = func() string {
 			cells := experiments.QuantSweep(experiments.QuantConfig{})
-			buf, err := json.MarshalIndent(cells, "", "  ")
+			report := experiments.QuantReport{Host: experiments.CurrentQuantHost(), Cells: cells}
+			buf, err := json.MarshalIndent(report, "", "  ")
 			if err == nil {
 				err = os.WriteFile(*quantJSON, append(buf, '\n'), 0o644)
 			}

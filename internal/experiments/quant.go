@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"time"
 
 	"djinn/internal/models"
@@ -11,19 +12,21 @@ import (
 )
 
 // The quant experiment measures the precision-pluggable kernel layer:
-// the same compiled plan run at each of the three precisions —
-// float32 (reference blocked GEMM), float32-packed (cache-blocked
-// panel kernels), and int8 (symmetric weight quantization at compile
-// time, int32 accumulation, dequantize fused into the bias+ReLU
-// epilogue). Throughput is instances/sec through Plan.Forward; the
-// accuracy column is top-1 agreement between the int8 and float32
-// outputs over fresh random inputs, the gate the int8 path must hold
-// (>= 0.99 per net) to be eligible for serving.
+// the same network compiled at both precisions — float32 (packed-panel
+// conv GEMM, multi-instance FC GEMV) and int8 (symmetric weight
+// quantization at compile time, int32 accumulation, dequantize fused
+// into the bias+ReLU epilogue) — at each serving batch size.
+// Throughput is instances/sec through Plan.Forward; the accuracy column
+// is top-1 agreement between the int8 and float32 outputs over fresh
+// random inputs, the gate the int8 path must hold (>= 0.99 per net) to
+// be eligible for serving.
 
-// QuantConfig selects the apps, batch size and measurement effort.
+// QuantConfig selects the apps, batch sizes and measurement effort.
 type QuantConfig struct {
-	Apps  []models.App
-	Batch int
+	Apps []models.App
+	// Batches are the plan batch sizes every app is measured at. Empty
+	// means the serving range {1, 8, 32, 64}.
+	Batches []int
 	// Workers is the intra-op GEMM parallelism every plan is compiled
 	// with. Zero means GOMAXPROCS.
 	Workers int
@@ -40,8 +43,8 @@ func (c QuantConfig) withDefaults() QuantConfig {
 	if len(c.Apps) == 0 {
 		c.Apps = models.Apps
 	}
-	if c.Batch <= 0 {
-		c.Batch = 8
+	if len(c.Batches) == 0 {
+		c.Batches = []int{1, 8, 32, 64}
 	}
 	if c.Workers <= 0 {
 		c.Workers = runtime.GOMAXPROCS(0)
@@ -58,21 +61,46 @@ func (c QuantConfig) withDefaults() QuantConfig {
 	return c
 }
 
-// QuantCell is one application's row of the sweep.
+// QuantHost records the machine and toolchain a sweep ran on.
+type QuantHost struct {
+	NumCPU     int    `json:"num_cpu"`
+	GOMAXPROCS int    `json:"gomaxprocs"`
+	GOAMD64    string `json:"goamd64"` // from the build info; empty off amd64
+	GoVersion  string `json:"go_version"`
+}
+
+// QuantReport is the machine-readable sweep `djinn-bench -exp quant
+// -quant-json` writes.
+type QuantReport struct {
+	Host  QuantHost   `json:"host"`
+	Cells []QuantCell `json:"cells"`
+}
+
+// CurrentQuantHost describes the running process's host.
+func CurrentQuantHost() QuantHost {
+	h := QuantHost{NumCPU: runtime.NumCPU(), GOMAXPROCS: runtime.GOMAXPROCS(0), GoVersion: runtime.Version()}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, kv := range bi.Settings {
+			if kv.Key == "GOAMD64" {
+				h.GOAMD64 = kv.Value
+			}
+		}
+	}
+	return h
+}
+
+// QuantCell is one application × batch row of the sweep.
 type QuantCell struct {
 	App   string `json:"app"`
 	Batch int    `json:"batch"`
 
-	F32QPS    float64 `json:"f32_qps"`    // instances/sec, float32 reference plan
-	PackedQPS float64 `json:"packed_qps"` // instances/sec, float32-packed plan
-	Int8QPS   float64 `json:"int8_qps"`   // instances/sec, int8 plan
+	F32QPS  float64 `json:"f32_qps"`  // instances/sec, float32 plan
+	Int8QPS float64 `json:"int8_qps"` // instances/sec, int8 plan
 
-	PackedSpeedup float64 `json:"packed_speedup"` // PackedQPS / F32QPS
-	Int8Speedup   float64 `json:"int8_speedup"`   // Int8QPS / F32QPS
+	Int8Speedup float64 `json:"int8_speedup"` // Int8QPS / F32QPS
 
-	F32Allocs    float64 `json:"f32_allocs"` // heap allocations per forward call
-	PackedAllocs float64 `json:"packed_allocs"`
-	Int8Allocs   float64 `json:"int8_allocs"`
+	F32Allocs  float64 `json:"f32_allocs"` // heap allocations per forward call
+	Int8Allocs float64 `json:"int8_allocs"`
 
 	// Agreement is raw int8-vs-float32 top-1 agreement. On untrained
 	// random weights, deep many-class nets emit near-uniform outputs, so
@@ -108,72 +136,75 @@ func top2(row []float32) (int, float32) {
 	return best, row[best] - row[second]
 }
 
-// QuantSweep compiles each application's network at all three
-// precisions and measures throughput, allocations and int8 top-1
-// agreement against the float32 reference.
+// QuantSweep compiles each application's network at both precisions
+// for every configured batch size and measures throughput, allocations
+// and int8 top-1 agreement against float32. Cells come out app-major, in
+// cfg.Apps then cfg.Batches order.
 func QuantSweep(cfg QuantConfig) []QuantCell {
 	cfg = cfg.withDefaults()
 	var cells []QuantCell
 	for _, app := range cfg.Apps {
 		net := models.BuildCached(app)
-		in := tensor.New(append([]int{cfg.Batch}, net.InShape()...)...)
-		rng := tensor.NewRNG(uint64(31*int(app) + cfg.Batch))
-
-		f32 := net.CompileOpts(cfg.Batch, nn.CompileOpts{Workers: cfg.Workers})
-		packed := net.CompileOpts(cfg.Batch, nn.CompileOpts{Workers: cfg.Workers, Precision: nn.Float32Packed})
-		quant := net.CompileOpts(cfg.Batch, nn.CompileOpts{Workers: cfg.Workers, Precision: nn.Int8})
-
-		cell := QuantCell{App: app.String(), Batch: cfg.Batch}
-		var ref []float32
-		for b := 0; b < cfg.AgreeBatches; b++ {
-			rng.FillNorm(in.Data(), 0, 1)
-			ref = append(ref[:0], f32.Forward(in).Data()...)
-			got := quant.Forward(in).Data()
-			per := len(ref) / cfg.Batch
-			for i := 0; i < cfg.Batch; i++ {
-				row, qrow := ref[i*per:(i+1)*per], got[i*per:(i+1)*per]
-				ri, margin := top2(row)
-				qi, _ := top2(qrow)
-				for j := range row {
-					if d := float64(row[j] - qrow[j]); d > cell.MaxAbsErr {
-						cell.MaxAbsErr = d
-					} else if -d > cell.MaxAbsErr {
-						cell.MaxAbsErr = -d
-					}
-				}
-				if ri == qi {
-					cell.Agreement++
-				}
-				cell.Compared++
-				if float64(margin) >= decisiveMargin {
-					if ri == qi {
-						cell.DecisiveAgreement++
-					}
-					cell.DecisiveCompared++
-				}
-			}
+		for _, batch := range cfg.Batches {
+			cells = append(cells, quantCell(cfg, app, net, batch))
 		}
-		cell.Agreement /= float64(cell.Compared)
-		if cell.DecisiveCompared > 0 {
-			cell.DecisiveAgreement /= float64(cell.DecisiveCompared)
-		}
-
-		rng.FillNorm(in.Data(), 0, 1)
-		f32FPS, f32Allocs := measure(cfg.MinTime, cfg.MinIters, func() { f32.Forward(in) })
-		packedFPS, packedAllocs := measure(cfg.MinTime, cfg.MinIters, func() { packed.Forward(in) })
-		int8FPS, int8Allocs := measure(cfg.MinTime, cfg.MinIters, func() { quant.Forward(in) })
-
-		cell.F32QPS = f32FPS * float64(cfg.Batch)
-		cell.PackedQPS = packedFPS * float64(cfg.Batch)
-		cell.Int8QPS = int8FPS * float64(cfg.Batch)
-		cell.PackedSpeedup = cell.PackedQPS / cell.F32QPS
-		cell.Int8Speedup = cell.Int8QPS / cell.F32QPS
-		cell.F32Allocs = f32Allocs
-		cell.PackedAllocs = packedAllocs
-		cell.Int8Allocs = int8Allocs
-		cells = append(cells, cell)
 	}
 	return cells
+}
+
+// quantCell measures one app at one batch size. Its plans are dropped
+// on return, so only one batch's activations are resident at a time.
+func quantCell(cfg QuantConfig, app models.App, net *nn.Net, batch int) QuantCell {
+	in := tensor.New(append([]int{batch}, net.InShape()...)...)
+	rng := tensor.NewRNG(uint64(31*int(app) + batch))
+	f32 := net.CompileOpts(batch, nn.CompileOpts{Workers: cfg.Workers})
+	quant := net.CompileOpts(batch, nn.CompileOpts{Workers: cfg.Workers, Precision: nn.Int8})
+
+	cell := QuantCell{App: app.String(), Batch: batch}
+	var ref []float32
+	for b := 0; b < cfg.AgreeBatches; b++ {
+		rng.FillNorm(in.Data(), 0, 1)
+		ref = append(ref[:0], f32.Forward(in).Data()...)
+		got := quant.Forward(in).Data()
+		per := len(ref) / batch
+		for i := 0; i < batch; i++ {
+			row, qrow := ref[i*per:(i+1)*per], got[i*per:(i+1)*per]
+			ri, margin := top2(row)
+			qi, _ := top2(qrow)
+			for j := range row {
+				if d := float64(row[j] - qrow[j]); d > cell.MaxAbsErr {
+					cell.MaxAbsErr = d
+				} else if -d > cell.MaxAbsErr {
+					cell.MaxAbsErr = -d
+				}
+			}
+			if ri == qi {
+				cell.Agreement++
+			}
+			cell.Compared++
+			if float64(margin) >= decisiveMargin {
+				if ri == qi {
+					cell.DecisiveAgreement++
+				}
+				cell.DecisiveCompared++
+			}
+		}
+	}
+	cell.Agreement /= float64(cell.Compared)
+	if cell.DecisiveCompared > 0 {
+		cell.DecisiveAgreement /= float64(cell.DecisiveCompared)
+	}
+
+	rng.FillNorm(in.Data(), 0, 1)
+	f32FPS, f32Allocs := measure(cfg.MinTime, cfg.MinIters, func() { f32.Forward(in) })
+	int8FPS, int8Allocs := measure(cfg.MinTime, cfg.MinIters, func() { quant.Forward(in) })
+
+	cell.F32QPS = f32FPS * float64(batch)
+	cell.Int8QPS = int8FPS * float64(batch)
+	cell.Int8Speedup = cell.Int8QPS / cell.F32QPS
+	cell.F32Allocs = f32Allocs
+	cell.Int8Allocs = int8Allocs
+	return cell
 }
 
 // RenderQuant prints the precision comparison for all seven Tonic
@@ -187,22 +218,20 @@ func RenderQuant() string {
 func RenderQuantCells(cells []QuantCell) string {
 	t := &table{header: []string{
 		"app", "batch",
-		"f32 q/s", "packed q/s", "int8 q/s",
-		"packed x", "int8 x",
-		"allocs f32/packed/int8",
+		"f32 q/s", "int8 q/s", "int8 x",
+		"allocs f32/int8",
 		"top-1 agree", "decisive", "max |err|", "n",
 	}}
 	for _, c := range cells {
 		t.add(c.App, fmt.Sprintf("%d", c.Batch),
-			f1(c.F32QPS), f1(c.PackedQPS), f1(c.Int8QPS),
-			f2(c.PackedSpeedup), f2(c.Int8Speedup),
-			fmt.Sprintf("%s/%s/%s", f1(c.F32Allocs), f1(c.PackedAllocs), f1(c.Int8Allocs)),
+			f1(c.F32QPS), f1(c.Int8QPS), f2(c.Int8Speedup),
+			fmt.Sprintf("%s/%s", f1(c.F32Allocs), f1(c.Int8Allocs)),
 			f3(c.Agreement), f3(c.DecisiveAgreement),
 			fmt.Sprintf("%.1e", c.MaxAbsErr),
 			fmt.Sprintf("%d/%d", c.DecisiveCompared, c.Compared))
 	}
 	return fmt.Sprintf(
-		"Quant: precision-pluggable plans, float32 reference vs panel-packed vs int8 (GOMAXPROCS=%d)\n"+
+		"Quant: precision-pluggable plans, float32 vs int8 per serving batch (GOMAXPROCS=%d)\n"+
 			"int8: symmetric weight scales fixed at compile time, dynamic activation scales,\n"+
 			"int32 accumulation, dequantize fused into the bias+ReLU epilogue.\n"+
 			"\"decisive\" excludes instances whose float32 top-1/top-2 margin is under 1e-5 —\n"+

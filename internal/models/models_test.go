@@ -274,3 +274,21 @@ func benchForward(b *testing.B, a App) {
 func BenchmarkForwardAlexNet(b *testing.B) { benchForward(b, IMC) }
 func BenchmarkForwardMNIST(b *testing.B)   { benchForward(b, DIG) }
 func BenchmarkForwardSENNA(b *testing.B)   { benchForward(b, POS) }
+
+// BenchmarkForwardAlexNetInt8 is BenchmarkForwardAlexNet's int8 partner
+// at the batched serving sizes. Steady-state allocs/op should be 0.
+func BenchmarkForwardAlexNetInt8(b *testing.B) {
+	net := BuildCached(IMC)
+	for _, batch := range []int{8, 32} {
+		b.Run(fmt.Sprintf("batch%d", batch), func(b *testing.B) {
+			plan := net.CompileOpts(batch, nn.CompileOpts{Precision: nn.Int8})
+			in := tensor.New(append([]int{batch}, net.InShape()...)...)
+			tensor.NewRNG(1).FillNorm(in.Data(), 0, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkOut = plan.Forward(in)
+			}
+		})
+	}
+}

@@ -118,7 +118,7 @@ func (k Kernel) Bytes() float64 { return k.BytesIn + k.BytesOut }
 // read-only weights) can be executed concurrently from many workers,
 // mirroring DjiNN's shared in-memory model design.
 type Ctx struct {
-	col   []float32   // im2col scratch
+	col   []float32   // layer scratch: im2col columns and their panels, FC pack panels
 	rng   *tensor.RNG // dropout masks during training
 	Train bool        // enables dropout
 	// Workers is the intra-op parallelism knob: GEMM-backed layers

@@ -21,7 +21,7 @@ type Conv struct {
 	Weight           *Param // [OutC, InC/Groups, KH, KW]
 	Bias             *Param // [OutC]
 
-	kern convKernelCache // lazily built quantized weight form
+	kern convKernelCache // lazily built int8 weight form
 }
 
 // ConvOpt configures optional convolution geometry.
@@ -100,6 +100,13 @@ func (c *Conv) forwardReLU(ctx *Ctx, in, out *tensor.Tensor) {
 	c.forward(ctx, in, out, true)
 }
 
+// forward is the one conv kernel, shared by plans, Runner and training:
+// per image and group, im2col into the scratch column matrix, pack the
+// columns into K×NR panels, and run the packed GEMM with the group's
+// bias rows (and the fused ReLU) in the store epilogue. The packed
+// kernel accumulates each output in the same ascending-k order as the
+// blocked Gemm, so outputs are bit-identical to im2col + Gemm +
+// AddBiasRows for finite inputs, at any worker count.
 func (c *Conv) forward(ctx *Ctx, in, out *tensor.Tensor, fuseReLU bool) {
 	batch := in.Dim(0)
 	inShape := in.Shape()[1:]
@@ -111,24 +118,29 @@ func (c *Conv) forward(ctx *Ctx, in, out *tensor.Tensor, fuseReLU bool) {
 	kTaps := gInC * c.KernelH * c.KernelW
 	groupGeom := g
 	groupGeom.Channels = gInC
-	col := ctx.scratch(kTaps * outSpatial)
+	colLen := kTaps * outSpatial
+	buf := ctx.scratch(colLen + tensor.PackedBLen(kTaps, outSpatial))
+	col, bp := buf[:colLen], buf[colLen:]
+	ep := tensor.EpBiasRow
+	if fuseReLU {
+		ep = tensor.EpBiasRowReLU
+	}
 	w := c.Weight.W.Data()
+	bias := c.Bias.W.Data()
 	inData, outData := in.Data(), out.Data()
 	inPer, outPer := sampleElems(inShape), c.OutC*outSpatial
+	workers := ctx.workers()
 	for b := 0; b < batch; b++ {
 		img := inData[b*inPer : (b+1)*inPer]
 		dst := outData[b*outPer : (b+1)*outPer]
 		for grp := 0; grp < c.Groups; grp++ {
 			tensor.Im2col(groupGeom, img[grp*gInC*g.Height*g.Width:(grp+1)*gInC*g.Height*g.Width], col)
+			tensor.PackB(kTaps, outSpatial, col, bp)
 			// Filter matrix [gOutC, kTaps] × col [kTaps, outSpatial].
-			tensor.GemmParallel(ctx.workers(), gOutC, outSpatial, kTaps, 1,
-				w[grp*gOutC*kTaps:(grp+1)*gOutC*kTaps], col,
-				0, dst[grp*gOutC*outSpatial:(grp+1)*gOutC*outSpatial])
-		}
-		if fuseReLU {
-			tensor.AddBiasRowsReLU(c.OutC, outSpatial, dst, c.Bias.W.Data())
-		} else {
-			tensor.AddBiasRows(c.OutC, outSpatial, dst, c.Bias.W.Data())
+			tensor.GemmPackedParallel(workers, gOutC, outSpatial, kTaps,
+				w[grp*gOutC*kTaps:(grp+1)*gOutC*kTaps], bp,
+				dst[grp*gOutC*outSpatial:(grp+1)*gOutC*outSpatial],
+				ep, bias[grp*gOutC:(grp+1)*gOutC])
 		}
 	}
 }

@@ -18,7 +18,7 @@ type FC struct {
 	Weight  *Param // [Out, In]
 	Bias    *Param // [Out]
 
-	kern fcKernelCache // lazily built packed/quantized weight forms
+	kern fcKernelCache // lazily built int8 weight form
 }
 
 // NewFC creates a fully-connected layer with Xavier-initialised weights.

@@ -40,23 +40,22 @@ type Plan struct {
 	slots     []int              // arena slot per activation (len(steps)+1)
 	views     [][]*tensor.Tensor // views[b-1][i]: activation i as a [b,...] tensor
 
-	// Packing scratch owned by the plan, sized at Compile by
-	// buildBackend; nil at the reference precision. Weight-derived packed
-	// operands live on the layers instead (see backend.go).
-	packB []float32 // Float32Packed: im2col columns in K×NR panels
-	qB    []uint8   // Int8: quantized im2col columns, offset panels
-	qBSum []int32   // Int8: per-column signed sums for the B scratch
-	qA    []uint64  // Int8: quantized FC activations, lane pairs
-	qASum []int32   // Int8: per-row signed sums for the A scratch
+	// Int8 packing scratch owned by the plan, sized at Compile by
+	// buildBackend; nil at Float32. Weight-derived quantized operands
+	// live on the layers instead (see backend.go).
+	qB    []uint8  // quantized im2col columns, offset panels
+	qBSum []int32  // per-column signed sums for the B scratch
+	qA    []uint64 // quantized FC activations, lane pairs
+	qASum []int32  // per-row signed sums for the A scratch
 }
 
 type planStep struct {
 	layer Layer
 	fuse  fusedBiasReLU // non-nil: forward runs with the next ReLU fused in
 	skip  bool          // output already produced by a fused predecessor
-	// exec, when non-nil, runs the step through a precision backend
-	// (packed float32 or int8 kernels) instead of layer.Forward; it
-	// already honours fuse. Installed by buildBackend.
+	// exec, when non-nil, runs the step through the int8 kernels
+	// instead of layer.Forward; it already honours fuse. Installed by
+	// buildBackend.
 	exec func(in, out *tensor.Tensor)
 }
 
@@ -70,10 +69,9 @@ type CompileOpts struct {
 	// memory layout. Required for Backward; Runner compiles with it.
 	Retain bool
 	// Precision selects the kernel backend for conv and FC layers. The
-	// zero value (Float32) is the reference path, bit-identical to the
-	// seed. Retain-mode plans always compile at Float32 — Backward reads
-	// float32 weights and the training path never routes through the
-	// packed kernels.
+	// zero value (Float32) runs each layer's own Forward. Retain-mode
+	// plans always compile at Float32 — Backward reads float32 weights
+	// and the training path never routes through the int8 kernels.
 	Precision Precision
 }
 
@@ -173,8 +171,8 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 		p.views[b-1] = v
 	}
 
-	// Size the shared scratch (im2col columns, Local patches, FC pack
-	// panels) up front so no layer grows it at run time. Custom layers
+	// Size the shared scratch (conv im2col columns plus their packed
+	// panels, Local patches, FC pack panels) up front so no layer grows it at run time. Custom layers
 	// outside the zoo still grow it lazily.
 	scratch := 0
 	for i, l := range n.layers {
@@ -182,7 +180,7 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 		case *Conv:
 			kTaps := (t.InC / t.Groups) * t.KernelH * t.KernelW
 			outSpatial := actShapes[i+1][1] * actShapes[i+1][2]
-			if need := kTaps * outSpatial; need > scratch {
+			if need := kTaps*outSpatial + tensor.PackedBLen(kTaps, outSpatial); need > scratch {
 				scratch = need
 			}
 		case *Local:
@@ -199,12 +197,12 @@ func (n *Net) CompileOpts(maxBatch int, o CompileOpts) *Plan {
 		p.ctx.scratch(scratch)
 	}
 
-	// Route conv/FC steps through the selected kernel backend. Retain
-	// compiles at the reference precision: training reads float32
-	// weights and the seed memory layout.
-	if o.Precision != Float32 && !o.Retain {
-		p.precision = o.Precision
-		p.buildBackend(o.Precision)
+	// Route conv/FC steps through the int8 kernels. Retain compiles at
+	// the reference precision: training reads float32 weights and the
+	// seed memory layout.
+	if o.Precision == Int8 && !o.Retain {
+		p.precision = Int8
+		p.buildBackend()
 	}
 	return p
 }

@@ -1,29 +1,15 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
 	"djinn/internal/tensor"
 )
 
-// convNet has no FC layers, so every GEMM-backed step routes through the
-// packed kernel, whose convolution outputs are bit-identical to the
-// blocked reference.
-func convNet(seed uint64) *Net {
-	rng := tensor.NewRNG(seed)
-	n := NewNet("convnet", KindCNN, 3, 12, 12)
-	n.Add(NewConv("conv1", rng, 3, 8, 3, ConvOpt{Pad: 1})).
-		Add(NewReLU("relu1")).
-		Add(NewPool("pool1", MaxPool, 2, 2, 0)).
-		Add(NewConv("conv2", rng, 8, 6, 3, ConvOpt{Pad: 1, Groups: 2})).
-		Add(NewLRN("lrn1", 3, 0, 0, 0)).
-		Add(NewSoftmax("prob"))
-	return n
-}
-
 func TestParsePrecisionRoundTrip(t *testing.T) {
-	for _, p := range Precisions() {
+	for _, p := range []Precision{Float32, Int8} {
 		got, err := ParsePrecision(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
@@ -32,53 +18,90 @@ func TestParsePrecisionRoundTrip(t *testing.T) {
 	if p, err := ParsePrecision(""); err != nil || p != Float32 {
 		t.Fatalf("empty precision = %v, %v, want Float32", p, err)
 	}
-	if _, err := ParsePrecision("float16"); err == nil {
-		t.Fatal("ParsePrecision(float16) should fail")
+	for _, bad := range []string{"float16", "float32-packed", "packed"} {
+		if _, err := ParsePrecision(bad); err == nil {
+			t.Fatalf("ParsePrecision(%q) should fail", bad)
+		}
 	}
 }
 
-// TestPackedPlanConvBitIdentical pins the packed backend's compatibility
-// gate on convolutions: identical bytes to the reference plan, for every
-// batch and worker count, because the panel kernel accumulates each
-// output element in the same ascending-k order as the blocked GEMM.
-func TestPackedPlanConvBitIdentical(t *testing.T) {
-	n := convNet(11)
+// convOracle is the blocked-GEMM lowering of a convolution: per image
+// and group, Im2col + tensor.Gemm, then the bias rows (and ReLU) as a
+// separate pass.
+func convOracle(c *Conv, in *tensor.Tensor, relu bool) []float32 {
+	batch := in.Dim(0)
+	inShape := in.Shape()[1:]
+	g := c.geom(inShape)
+	outSpatial := g.OutH() * g.OutW()
+	gInC, gOutC := c.InC/c.Groups, c.OutC/c.Groups
+	kTaps := gInC * c.KernelH * c.KernelW
+	groupGeom := g
+	groupGeom.Channels = gInC
+	col := make([]float32, kTaps*outSpatial)
+	out := make([]float32, batch*c.OutC*outSpatial)
+	inPer, groupIn := sampleElems(inShape), gInC*g.Height*g.Width
+	w := c.Weight.W.Data()
+	for b := 0; b < batch; b++ {
+		dst := out[b*c.OutC*outSpatial : (b+1)*c.OutC*outSpatial]
+		for grp := 0; grp < c.Groups; grp++ {
+			img := in.Data()[b*inPer+grp*groupIn : b*inPer+(grp+1)*groupIn]
+			tensor.Im2col(groupGeom, img, col)
+			tensor.Gemm(gOutC, outSpatial, kTaps, 1, w[grp*gOutC*kTaps:(grp+1)*gOutC*kTaps], col,
+				0, dst[grp*gOutC*outSpatial:(grp+1)*gOutC*outSpatial])
+		}
+		if relu {
+			tensor.AddBiasRowsReLU(c.OutC, outSpatial, dst, c.Bias.W.Data())
+		} else {
+			tensor.AddBiasRows(c.OutC, outSpatial, dst, c.Bias.W.Data())
+		}
+	}
+	return out
+}
+
+// TestConvForwardMatchesBlockedGemm pins the one conv forward (im2col,
+// PackB, packed GEMM with the bias epilogue) to the blocked-GEMM
+// lowering, bit for bit: through a fused conv+ReLU plan at several
+// worker counts and through the unfused Runner. 64 input channels make
+// the per-group reduction longer than one packed k block, and the odd
+// output extents leave fringe tiles.
+func TestConvForwardMatchesBlockedGemm(t *testing.T) {
 	const maxBatch = 3
-	ref := n.Compile(maxBatch)
-	for _, workers := range []int{1, 2, 4} {
-		plan := n.CompileOpts(maxBatch, CompileOpts{Workers: workers, Precision: Float32Packed})
-		if plan.Precision() != Float32Packed {
-			t.Fatalf("plan precision = %v", plan.Precision())
-		}
-		for batch := 1; batch <= maxBatch; batch++ {
-			in := randInput(n, batch, uint64(20+batch))
-			want := ref.Forward(in)
-			got := plan.Forward(in)
-			for i := range got.Data() {
-				if got.Data()[i] != want.Data()[i] {
-					t.Fatalf("workers=%d batch=%d: out[%d]=%v, reference %v (must be bit-identical)",
-						workers, batch, i, got.Data()[i], want.Data()[i])
+	for _, groups := range []int{1, 2} {
+		for _, stride := range []int{1, 2} {
+			for _, pad := range []int{0, 1} {
+				rng := tensor.NewRNG(uint64(100*groups + 10*stride + pad))
+				conv := NewConv("conv", rng, 64, 6, 3, ConvOpt{Stride: stride, Pad: pad, Groups: groups})
+				rng.FillNorm(conv.Bias.W.Data(), 0, 1)
+				fused := NewNet("conv-relu", KindCNN, 64, 9, 7)
+				fused.Add(conv).Add(NewReLU("relu"))
+				unfused := NewNet("conv", KindCNN, 64, 9, 7)
+				unfused.Add(conv)
+				runner := unfused.NewRunner(maxBatch)
+				plans := map[int]*Plan{}
+				for _, workers := range []int{1, 2, 3} {
+					plans[workers] = fused.CompileOpts(maxBatch, CompileOpts{Workers: workers})
 				}
-			}
-		}
-	}
-}
-
-// TestPackedPlanCloseToFloat32 covers the FC case, where the packed
-// kernel's accumulation order differs from the reference GEMV's 4-wide
-// unrolled sum: results agree to float rounding, not bit-identically.
-func TestPackedPlanCloseToFloat32(t *testing.T) {
-	n := zooNet(12)
-	const maxBatch = 4
-	ref := n.Compile(maxBatch)
-	plan := n.CompileOpts(maxBatch, CompileOpts{Precision: Float32Packed})
-	for batch := 1; batch <= maxBatch; batch++ {
-		in := randInput(n, batch, uint64(30+batch))
-		want := ref.Forward(in).Data()
-		got := plan.Forward(in).Data()
-		for i := range got {
-			if math.Abs(float64(got[i]-want[i])) > 1e-5 {
-				t.Fatalf("batch=%d: out[%d]=%v, reference %v", batch, i, got[i], want[i])
+				for batch := 1; batch <= maxBatch; batch++ {
+					in := randInput(unfused, batch, uint64(batch))
+					check := func(path string, got, want []float32) {
+						t.Helper()
+						if len(got) != len(want) {
+							t.Fatalf("groups=%d stride=%d pad=%d batch=%d %s: %d outputs, oracle %d",
+								groups, stride, pad, batch, path, len(got), len(want))
+						}
+						for i := range got {
+							if got[i] != want[i] {
+								t.Fatalf("groups=%d stride=%d pad=%d batch=%d %s: out[%d]=%v, blocked GEMM %v (must be bit-identical)",
+									groups, stride, pad, batch, path, i, got[i], want[i])
+							}
+						}
+					}
+					check("runner", runner.Forward(in).Data(), convOracle(conv, in, false))
+					wantReLU := convOracle(conv, in, true)
+					for workers, plan := range plans {
+						check(fmt.Sprintf("plan workers=%d", workers), plan.Forward(in).Data(), wantReLU)
+					}
+				}
 			}
 		}
 	}
@@ -146,13 +169,11 @@ func TestInt8PlanWorkersBitIdentical(t *testing.T) {
 
 func TestPrecisionPlansZeroAllocSteadyState(t *testing.T) {
 	n := zooNet(15)
-	for _, prec := range []Precision{Float32Packed, Int8} {
-		plan := n.CompileOpts(4, CompileOpts{Precision: prec})
-		in := randInput(n, 4, 16)
-		plan.Forward(in)
-		if allocs := testing.AllocsPerRun(20, func() { plan.Forward(in) }); allocs != 0 {
-			t.Fatalf("%v: %.1f allocs per forward, want 0", prec, allocs)
-		}
+	plan := n.CompileOpts(4, CompileOpts{Precision: Int8})
+	in := randInput(n, 4, 16)
+	plan.Forward(in)
+	if allocs := testing.AllocsPerRun(20, func() { plan.Forward(in) }); allocs != 0 {
+		t.Fatalf("int8: %.1f allocs per forward, want 0", allocs)
 	}
 }
 

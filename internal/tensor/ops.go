@@ -140,7 +140,9 @@ func AddBias(m, n int, x, bias []float32) {
 }
 
 // AddBiasRows adds bias[i] to every element of row i of an m×n matrix
-// (the convolution case: one row per output channel).
+// (the convolution case: one row per output channel). The conv forward
+// fuses this into the packed GEMM's store; AddBiasRows and
+// AddBiasRowsReLU are the unfused references its tests compare against.
 func AddBiasRows(m, n int, x, bias []float32) {
 	for i := 0; i < m; i++ {
 		row := x[i*n : (i+1)*n]

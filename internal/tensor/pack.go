@@ -112,33 +112,6 @@ func PackB(k, n int, b, bp []float32) {
 	}
 }
 
-// PackBT packs B from its transpose: bt is row-major n×k where row j of
-// bt is column j of the logical k×n B. This is the fully-connected
-// weight case (W stored [out, in], B = Wᵀ). The packed layout is
-// identical to PackB's.
-func PackBT(k, n int, bt, bp []float32) {
-	if len(bt) < k*n || len(bp) < PackedBLen(k, n) {
-		panic(fmt.Sprintf("tensor: packbt buffer too small for k=%d n=%d (len bt=%d bp=%d)", k, n, len(bt), len(bp)))
-	}
-	np := (n + packNR - 1) / packNR
-	for p := 0; p < np; p++ {
-		j0 := p * packNR
-		jv := min(packNR, n-j0)
-		dst := bp[p*k*packNR:]
-		for jj := 0; jj < jv; jj++ {
-			col := bt[(j0+jj)*k : (j0+jj)*k+k]
-			for kk := 0; kk < k; kk++ {
-				dst[kk*packNR+jj] = col[kk]
-			}
-		}
-		for jj := jv; jj < packNR; jj++ {
-			for kk := 0; kk < k; kk++ {
-				dst[kk*packNR+jj] = 0
-			}
-		}
-	}
-}
-
 func checkPacked(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
 	if len(a) < m*k || len(bp) < PackedBLen(k, n) || len(c) < m*n {
 		panic(fmt.Sprintf("tensor: packed gemm buffer too small for m=%d n=%d k=%d (len a=%d bp=%d c=%d)", m, n, k, len(a), len(bp), len(c)))
@@ -156,34 +129,24 @@ func checkPacked(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
 }
 
 // GemmPacked computes C = epilogue(A·B) where A is m×k row-major and bp
-// is B packed with PackB/PackBT. C is overwritten (beta = 0 semantics);
+// is B packed with PackB. C is overwritten (beta = 0 semantics);
 // nothing is allocated. See the package comment above for the
 // bit-identity guarantees.
 func GemmPacked(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
 	checkPacked(m, n, k, a, bp, c, ep, bias)
 	zeroC(m*n, c)
-	np := (n + packNR - 1) / packNR
-	gemmPackedRange(m, n, k, 0, np, a, bp, c, ep, bias)
+	gemmPackedRows(m, n, k, a, bp, c, ep, bias)
 }
 
-// GemmPackedParallel is GemmPacked with the work split across workers:
-// contiguous row blocks when m > 1, contiguous panel blocks when m == 1
-// (the batch-1 fully-connected case, where the row split would leave all
-// but one worker idle). Each output element is produced by exactly one
-// worker in the serial kernel's ascending-k order, so the result is
-// bit-identical to the serial call for any worker count.
+// GemmPackedParallel is GemmPacked with the rows of C split into
+// contiguous blocks across workers. Each output element is produced by
+// exactly one worker in the serial kernel's ascending-k order, so the
+// result is bit-identical to the serial call for any worker count.
 func GemmPackedParallel(workers, m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
 	checkPacked(m, n, k, a, bp, c, ep, bias)
 	zeroC(m*n, c)
-	np := (n + packNR - 1) / packNR
 	if workers <= 1 {
-		gemmPackedRange(m, n, k, 0, np, a, bp, c, ep, bias)
-		return
-	}
-	if m == 1 {
-		ParallelRows(workers, np, func(plo, phi int) {
-			gemmPackedRange(m, n, k, plo, phi, a, bp, c, ep, bias)
-		})
+		gemmPackedRows(m, n, k, a, bp, c, ep, bias)
 		return
 	}
 	rowBias := ep == EpBiasRow || ep == EpBiasRowReLU
@@ -192,7 +155,7 @@ func GemmPackedParallel(workers, m, n, k int, a, bp, c []float32, ep Epilogue, b
 		if rowBias {
 			bi = bias[lo:hi]
 		}
-		gemmPackedRange(hi-lo, n, k, 0, np, a[lo*k:], bp, c[lo*n:], ep, bi)
+		gemmPackedRows(hi-lo, n, k, a[lo*k:], bp, c[lo*n:], ep, bi)
 	})
 }
 
@@ -202,13 +165,12 @@ func zeroC(n int, c []float32) {
 	}
 }
 
-// gemmPackedRange runs the packed kernel over panel range [p0, p1) of an
-// m×k · k×n product. C must hold zeros (or the previous k blocks'
-// partial sums) on entry. Bias row indices are local to a (row-parallel
-// callers slice a, c and a row bias together); bias column indices are
-// global (panel-parallel callers pass the full column bias).
-func gemmPackedRange(m, n, k, p0, p1 int, a, bp, c []float32, ep Epilogue, bias []float32) {
+// gemmPackedRows runs the packed kernel over every panel of an m×k ·
+// k×n product. C must hold zeros on entry. Bias row indices are local
+// to a (row-parallel callers slice a, c and a row bias together).
+func gemmPackedRows(m, n, k int, a, bp, c []float32, ep Epilogue, bias []float32) {
 	var pa [packMR * packKC]float32
+	np := (n + packNR - 1) / packNR
 	for kc := 0; kc < k; kc += packKC {
 		kEnd := min(kc+packKC, k)
 		kcLen := kEnd - kc
@@ -229,7 +191,7 @@ func gemmPackedRange(m, n, k, p0, p1 int, a, bp, c []float32, ep Epilogue, bias 
 					pa[kk*packMR+r] = v
 				}
 			}
-			for p := p0; p < p1; p++ {
+			for p := 0; p < np; p++ {
 				j0 := p * packNR
 				jv := min(packNR, n-j0)
 				panel := bp[p*k*packNR+kc*packNR:]
